@@ -157,7 +157,9 @@ fn bench_table1(h: &Harness) -> Json {
 /// flips), and one second-order pair bucket — plus the campaign's
 /// deterministic pruning rates as exact-match metrics, so the committed
 /// trajectory also gates the redundancy analysis itself (rates must
-/// reproduce bit-for-bit and stay above zero).
+/// reproduce bit-for-bit and stay above zero), and the bytes the trial
+/// loop's snapshot restores copy over that bucket, which gates the
+/// per-trial reset cost exactly.
 fn bench_multifault(h: &Harness) -> Json {
     let campaign = gd_faultsim::boot_campaign();
     let image = &campaign.image;
@@ -183,7 +185,8 @@ fn bench_multifault(h: &Harness) -> Json {
     for model in 0..campaign.per_model.len() {
         order1.merge(&campaign.order1_stats(model));
     }
-    let (_, bucket0) = gd_faultsim::order2_shard(0);
+    let mut runner = campaign.runner();
+    let (_, bucket0) = gd_faultsim::order2_shard_on(&mut runner, 0);
     trajectory::doc_with_metrics(
         "multifault",
         &stages,
@@ -198,6 +201,11 @@ fn bench_multifault(h: &Harness) -> Json {
                 name: "prune/order2_bucket0_rate",
                 value_milli: bucket0.pruned_ratio_milli(),
                 min_milli: Some(1),
+            },
+            Metric {
+                name: "restore/order2_bucket0_bytes",
+                value_milli: runner.restored_bytes() * 1000,
+                min_milli: None,
             },
         ],
     )

@@ -8,8 +8,7 @@ use std::fmt::Write as _;
 
 use gd_backend::compile;
 use gd_chipwhisperer::{
-    full_grid, run_attack, AttackOutcome, AttackSpec, Device, FaultModel, GlitchParams,
-    SuccessCheck,
+    full_grid, AttackOutcome, AttackSpec, Device, FaultModel, GlitchParams, Rig, SuccessCheck,
 };
 use gd_firmware::SUCCESS_MARKER;
 use gd_ir::Module;
@@ -105,7 +104,7 @@ pub fn budget_for(device: &Device) -> u64 {
 
 /// Runs one Table VI cell: every attack shape × the full 99×99 grid,
 /// threading NVM (the delay seed) across attempts like a real campaign
-/// against one physical board.
+/// against one physical board, rebooted by snapshot restore ([`Rig`]).
 pub fn run_cell(device: &Device, model: &FaultModel, attack: Attack) -> DefenseCell {
     let spec = AttackSpec {
         success: SuccessCheck::HaltWithR0(SUCCESS_MARKER),
@@ -113,6 +112,7 @@ pub fn run_cell(device: &Device, model: &FaultModel, attack: Attack) -> DefenseC
     };
     let grid = full_grid();
     let mut cell = DefenseCell::default();
+    let mut rig = Rig::new(device);
     let mut nvm: Vec<u8> = Vec::new();
     let mut boot = 0u64;
     for (start, repeat) in attack.shapes() {
@@ -123,8 +123,7 @@ pub fn run_cell(device: &Device, model: &FaultModel, attack: Attack) -> DefenseC
                 continue; // cannot fault; the board would boot and idle
             }
             let params = GlitchParams { ext_offset: start, repeat, width, offset };
-            let attempt = run_attack(device, model, params, boot, &spec, Some(&mut nvm));
-            match attempt.outcome {
+            match rig.attack(model, params, boot, &spec, Some(&mut nvm)) {
                 AttackOutcome::Success => cell.successes += 1,
                 AttackOutcome::Detected => cell.detections += 1,
                 AttackOutcome::Crash | AttackOutcome::Reset => cell.crashes += 1,
@@ -217,6 +216,7 @@ pub fn unprotected_cell(module: &Module, model: &FaultModel, attack: Attack) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gd_chipwhisperer::run_attack;
 
     #[test]
     fn attack_shapes_match_the_papers_totals() {
@@ -250,6 +250,75 @@ mod tests {
             }
         }
         cell
+    }
+
+    /// Rebooting by snapshot restore is indistinguishable from a fresh
+    /// boot: over a Table VI grid slice with NVM threaded (and one
+    /// fresh-NVM attempt right after NVM-carrying ones), every rig
+    /// attempt matches a fresh-boot `run_attack` in outcome, registers,
+    /// cycle and retired counts, trigger cycles, carried NVM and every
+    /// memory byte.
+    #[test]
+    fn rig_attempts_match_fresh_boot_attempts() {
+        let model = FaultModel::default();
+        let module = gd_firmware::table6_targets().swap_remove(0).1;
+        let points: Vec<(i8, i8)> = full_grid()
+            .into_iter()
+            .filter(|&(w, o)| model.severity(w, o) > 0.0)
+            .step_by(7)
+            .take(12)
+            .collect();
+        for (defenses, seeded) in [(Defenses::ALL, true), (Defenses::ALL_EXCEPT_DELAY, false)] {
+            let device = hardened_device(&module, defenses);
+            let spec = AttackSpec {
+                success: SuccessCheck::HaltWithR0(SUCCESS_MARKER),
+                max_cycles: budget_for(&device),
+            };
+            let mut rig = Rig::new(&device);
+            let (mut rig_nvm, mut fresh_nvm) = (Vec::new(), Vec::new());
+            let mut boot = 0u64;
+            let mut outcomes = Vec::new();
+            for (start, repeat) in [(0, 1), (8, 1), (4, 10)] {
+                for (i, &(width, offset)) in points.iter().enumerate() {
+                    boot += 1;
+                    let params = GlitchParams { ext_offset: start, repeat, width, offset };
+                    let thread_nvm = i != 5;
+                    let (rig_out, fresh) = if thread_nvm {
+                        let r = rig.attack(&model, params, boot, &spec, Some(&mut rig_nvm));
+                        let f =
+                            run_attack(&device, &model, params, boot, &spec, Some(&mut fresh_nvm));
+                        (r, f)
+                    } else {
+                        let r = rig.attack(&model, params, boot, &spec, None);
+                        (r, run_attack(&device, &model, params, boot, &spec, None))
+                    };
+                    let (a, b) = (rig.pipe(), &fresh.pipe);
+                    let at = format!("{defenses:?} attempt {boot} {params:?}");
+                    assert_eq!(rig_out, fresh.outcome, "{at}");
+                    assert_eq!(a.emu.cpu, b.emu.cpu, "{at}");
+                    assert_eq!(a.emu.pc(), b.emu.pc(), "{at}");
+                    assert_eq!((a.cycle(), a.retired()), (b.cycle(), b.retired()), "{at}");
+                    assert_eq!(a.trigger_cycles(), b.trigger_cycles(), "{at}");
+                    assert_eq!(rig_nvm, fresh_nvm, "{at}");
+                    assert_eq!(Device::nvm(a), Device::nvm(b), "{at}");
+                    assert!(
+                        a.emu.mem.regions().iter().map(|r| r.data()).eq(b
+                            .emu
+                            .mem
+                            .regions()
+                            .iter()
+                            .map(|r| r.data())),
+                        "{at}: memory differs"
+                    );
+                    outcomes.push(rig_out);
+                }
+            }
+            assert!(
+                outcomes.iter().any(|o| *o != AttackOutcome::NoEffect),
+                "the slice exercises glitched runs: {outcomes:?}"
+            );
+            assert_eq!(rig_nvm.iter().any(|&b| b != 0), seeded, "only the delay seed uses NVM");
+        }
     }
 
     #[test]

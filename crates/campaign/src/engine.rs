@@ -607,7 +607,8 @@ impl ShardDispatcher for LocalDispatcher {
         // already reported through `ctx.complete`; resubmit the rest, and
         // only give up after repeated passes that complete nothing.
         let fanned: Result<(), CampaignError> = std::thread::scope(|s| {
-            s.spawn(|| watchdog_loop(&inflight, &stop, ctx.watchdog_deadline, metrics));
+            let watchdog =
+                s.spawn(|| watchdog_loop(&inflight, &stop, ctx.watchdog_deadline, metrics));
             let mut pending: Vec<(u32, ShardWork)> = ctx.missing.to_vec();
             let mut idle_passes = 0u32;
             let out = loop {
@@ -652,7 +653,7 @@ impl ShardDispatcher for LocalDispatcher {
                     }
                 }
             };
-            stop.store(true, Ordering::Relaxed);
+            stop_watchdog(&stop, watchdog.thread());
             out
         });
         fanned?;
@@ -716,7 +717,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Detection only — shard work is pure compute with no safe kill point —
 /// but a stall becomes visible in logs and metrics instead of looking
 /// like a silently slow campaign. Reports each shard at most once per
-/// campaign.
+/// campaign. Between polls the thread parks, so [`stop_watchdog`] ends it
+/// at once instead of after the rest of a poll interval.
 fn watchdog_loop(
     inflight: &Mutex<BTreeMap<u32, Instant>>,
     stop: &AtomicBool,
@@ -725,8 +727,16 @@ fn watchdog_loop(
 ) {
     let poll = (deadline / 2).clamp(Duration::from_millis(1), Duration::from_millis(200));
     let mut reported: BTreeSet<u32> = BTreeSet::new();
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(poll);
+    loop {
+        // Parking can wake early (an unpark or spuriously); only a full
+        // poll interval counts as a tick.
+        let tick = Instant::now() + poll;
+        while !stop.load(Ordering::Acquire) && Instant::now() < tick {
+            std::thread::park_timeout(tick.saturating_duration_since(Instant::now()));
+        }
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
         for (&shard, started) in inflight.lock().unwrap().iter() {
             let elapsed = started.elapsed();
             if elapsed > deadline && reported.insert(shard) {
@@ -741,6 +751,16 @@ fn watchdog_loop(
             }
         }
     }
+}
+
+/// Tells a [`watchdog_loop`] running on `watchdog` to return, and wakes
+/// it so the fan-out's scope joins it without waiting out a poll.
+fn stop_watchdog(stop: &AtomicBool, watchdog: &std::thread::Thread) {
+    // Release pairs with the watchdog's Acquire loads; the flag publishes
+    // nothing else, and unpark's token covers a store that lands before
+    // the watchdog first parks.
+    stop.store(true, Ordering::Release);
+    watchdog.unpark();
 }
 
 /// First line of every store file: `#gd-sha256:<hex>\n` over the body.
@@ -1112,6 +1132,45 @@ mod tests {
         let a: Vec<Duration> = (0..16).map(|s| retry_backoff(base, cap, 3, 42, s)).collect();
         let b: Vec<Duration> = (0..16).map(|s| retry_backoff(base, cap, 3, 43, s)).collect();
         assert_ne!(a, b, "the seed matters");
+    }
+
+    /// The watchdog parks between polls and is woken on stop: under the
+    /// default deadline (a 200 ms poll) it joins well inside one poll,
+    /// whether or not it had parked yet when stopped, so a campaign ends
+    /// when its last shard does.
+    #[test]
+    fn the_watchdog_joins_promptly_after_stop() {
+        let inflight = Mutex::new(BTreeMap::new());
+        let stop = AtomicBool::new(false);
+        let started = Instant::now();
+        std::thread::scope(|s| {
+            let watchdog = s.spawn(|| {
+                watchdog_loop(&inflight, &stop, DEFAULT_WATCHDOG_DEADLINE, engine_metrics())
+            });
+            stop_watchdog(&stop, watchdog.thread());
+        });
+        let joined_after = started.elapsed();
+        assert!(joined_after < Duration::from_millis(100), "joined after {joined_after:?}");
+    }
+
+    /// Stall detection still fires once a shard outlives the deadline.
+    #[test]
+    fn the_watchdog_still_flags_a_stalled_shard() {
+        let stalls = &engine_metrics().watchdog_stalls;
+        let inflight = Mutex::new(BTreeMap::from([(7u32, Instant::now())]));
+        let stop = AtomicBool::new(false);
+        let before = stalls.get();
+        std::thread::scope(|s| {
+            let watchdog = s.spawn(|| {
+                watchdog_loop(&inflight, &stop, Duration::from_millis(10), engine_metrics())
+            });
+            let flagged = Instant::now() + Duration::from_secs(10);
+            while stalls.get() == before && Instant::now() < flagged {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            stop_watchdog(&stop, watchdog.thread());
+        });
+        assert!(stalls.get() > before, "the stalled shard was flagged");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The device under attack: firmware plus the standard board memory map,
-//! bootable afresh for every glitch attempt, with non-volatile memory that
-//! survives resets (the delay defense's seed lives there).
+//! bootable afresh or rebooted by restoring a cached power-on snapshot,
+//! with non-volatile memory that survives resets (the delay defense's
+//! seed lives there).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use gd_backend::{layout, FirmwareImage};
-use gd_emu::{Emu, Perms, PredecodedImage};
+use gd_emu::{Emu, Perms, PredecodedImage, Snapshot};
 use gd_pipeline::Pipeline;
 use gd_thumb::asm::{assemble, AsmError};
 
@@ -29,6 +30,10 @@ pub struct Device {
     /// Whether boots attach the table; disabled for interpreter-path
     /// baselines in benchmarks.
     predecode_enabled: bool,
+    /// The emulator right after a fresh boot with fresh NVM, captured on
+    /// first use; [`Device::reboot`] restores it instead of rebuilding
+    /// the memory map.
+    power_on: OnceLock<Arc<Snapshot>>,
 }
 
 impl Device {
@@ -47,6 +52,7 @@ impl Device {
             symbols: prog.symbols,
             predecode: OnceLock::new(),
             predecode_enabled: true,
+            power_on: OnceLock::new(),
         })
     }
 
@@ -60,6 +66,7 @@ impl Device {
             symbols: image.symbols.clone(),
             predecode: OnceLock::new(),
             predecode_enabled: true,
+            power_on: OnceLock::new(),
         }
     }
 
@@ -118,6 +125,40 @@ impl Device {
         }
         emu.set_pc(self.entry);
         emu.cpu.set_sp(self.sp);
+        self.pipeline(emu)
+    }
+
+    /// A pipeline in power-on state with fresh NVM, stamped out of the
+    /// cached power-on snapshot; reboot it between attempts with
+    /// [`Device::reboot`].
+    pub(crate) fn power_on(&self) -> Pipeline {
+        self.pipeline(Emu::from_snapshot(self.power_on_snapshot()))
+    }
+
+    /// Reboots a pipeline made by [`Device::power_on`]: restores the
+    /// power-on snapshot, loads `nvm` when given (fresh NVM otherwise),
+    /// and resets the pipeline's counters. The result is byte-for-byte
+    /// the state [`Device::boot_with_nvm`] builds, at a cost proportional
+    /// to what the previous attempt wrote rather than to the memory map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pipe` does not have this device's memory map.
+    pub(crate) fn reboot(&self, pipe: &mut Pipeline, nvm: Option<&[u8]>) {
+        pipe.emu.restore(self.power_on_snapshot());
+        if let Some(nvm) = nvm {
+            pipe.emu.mem.load(layout::NVM_BASE, nvm).expect("nvm snapshot fits");
+        }
+        pipe.reset();
+    }
+
+    fn power_on_snapshot(&self) -> &Snapshot {
+        self.power_on.get_or_init(|| Arc::new(self.boot().emu.snapshot()))
+    }
+
+    /// Wraps a freshly booted emulator, attaching the shared micro-op
+    /// table when predecoding is enabled.
+    fn pipeline(&self, emu: Emu) -> Pipeline {
         let mut pipe = Pipeline::new(emu);
         if self.predecode_enabled {
             // Flash bytes (text + flash-resident data records) are the
@@ -132,13 +173,13 @@ impl Device {
         pipe
     }
 
-    /// Snapshots the NVM region of a finished run (for the next boot).
+    /// The NVM region's contents, to carry into the next boot.
     ///
     /// # Panics
     ///
     /// Panics if the pipeline was not booted from a [`Device`].
-    pub fn snapshot_nvm(pipe: &Pipeline) -> Vec<u8> {
-        pipe.emu.mem.peek(layout::NVM_BASE, layout::NVM_SIZE).expect("nvm region mapped")
+    pub fn nvm(pipe: &Pipeline) -> &[u8] {
+        pipe.emu.mem.region_at(layout::NVM_BASE).expect("nvm region mapped").data()
     }
 }
 
@@ -181,7 +222,7 @@ mod tests {
         let mut pipe = dev.boot();
         pipe.run(1_000_000);
         assert_eq!(pipe.emu.cpu.reg(gd_thumb::Reg::R2), 1);
-        let nvm = Device::snapshot_nvm(&pipe);
+        let nvm = Device::nvm(&pipe).to_vec();
         let mut pipe = dev.boot_with_nvm(Some(&nvm));
         pipe.run(1_000_000);
         assert_eq!(pipe.emu.cpu.reg(gd_thumb::Reg::R2), 2, "seed persisted");

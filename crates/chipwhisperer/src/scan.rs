@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use gd_emu::StopReason;
-use gd_pipeline::{RunEnd, Window};
+use gd_pipeline::{Pipeline, RunEnd, Window};
 use gd_thumb::Reg;
 
 use crate::device::Device;
@@ -52,13 +52,15 @@ pub struct Attempt {
     /// Classified outcome.
     pub outcome: AttackOutcome,
     /// The device state after the attempt.
-    pub pipe: gd_pipeline::Pipeline,
+    pub pipe: Pipeline,
 }
 
 /// Runs one glitch attempt against a fresh boot of `device`.
 ///
 /// `boot` both seeds per-attempt mask noise and, when `nvm` is provided,
 /// threads the non-volatile state (delay seed) from attempt to attempt.
+/// This is the one-shot form; loops over many attempts use a [`Rig`],
+/// which reboots by restoring a snapshot and gives identical results.
 pub fn run_attack(
     device: &Device,
     model: &FaultModel,
@@ -67,21 +69,76 @@ pub fn run_attack(
     spec: &AttackSpec,
     nvm: Option<&mut Vec<u8>>,
 ) -> Attempt {
-    let mut pipe = match &nvm {
-        Some(state) if !state.is_empty() => device.boot_with_nvm(Some(state)),
-        _ => device.boot(),
-    };
+    let mut pipe = device.boot_with_nvm(carried(&nvm));
+    let outcome = attack(device, &mut pipe, model, params, boot, spec, nvm);
+    Attempt { outcome, pipe }
+}
+
+/// A reusable attack bench for one device: a single pipeline rebooted
+/// before every attempt by restoring the device's cached power-on
+/// snapshot, so an attempt's reset costs what the previous attempt wrote
+/// instead of a full boot.
+#[derive(Debug)]
+pub struct Rig<'d> {
+    device: &'d Device,
+    pipe: Pipeline,
+}
+
+impl<'d> Rig<'d> {
+    /// A rig for `device`, powered on.
+    pub fn new(device: &'d Device) -> Rig<'d> {
+        Rig { device, pipe: device.power_on() }
+    }
+
+    /// Runs one attempt exactly as [`run_attack`] would, on a reboot of
+    /// this rig's pipeline.
+    pub fn attack(
+        &mut self,
+        model: &FaultModel,
+        params: GlitchParams,
+        boot: u64,
+        spec: &AttackSpec,
+        nvm: Option<&mut Vec<u8>>,
+    ) -> AttackOutcome {
+        self.device.reboot(&mut self.pipe, carried(&nvm));
+        attack(self.device, &mut self.pipe, model, params, boot, spec, nvm)
+    }
+
+    /// The device state after the latest attempt, for post-mortems.
+    pub fn pipe(&self) -> &Pipeline {
+        &self.pipe
+    }
+}
+
+/// The NVM contents an attempt boots with: the carried-over state, or
+/// fresh NVM before the first attempt has stored any.
+fn carried<'a>(nvm: &'a Option<&mut Vec<u8>>) -> Option<&'a [u8]> {
+    nvm.as_deref().map(Vec::as_slice).filter(|state| !state.is_empty())
+}
+
+/// Runs one attempt on a freshly (re)booted `pipe`, saves its NVM into
+/// `nvm`, and classifies it.
+fn attack(
+    device: &Device,
+    pipe: &mut Pipeline,
+    model: &FaultModel,
+    params: GlitchParams,
+    boot: u64,
+    spec: &AttackSpec,
+    nvm: Option<&mut Vec<u8>>,
+) -> AttackOutcome {
     let mut injector = model.injector(params, boot);
     let end = pipe.run_with(spec.max_cycles, |w: &Window| injector(w));
     if let Some(state) = nvm {
-        *state = Device::snapshot_nvm(&pipe);
+        state.clear();
+        state.extend_from_slice(Device::nvm(pipe));
     }
     let detected = device
         .detect_flag()
         .and_then(|addr| pipe.emu.mem.peek(addr, 4).ok())
         .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) != 0)
         .unwrap_or(false);
-    let outcome = match end {
+    match end {
         RunEnd::Stop { reason: StopReason::Bkpt(n), .. } => match spec.success {
             SuccessCheck::Bkpt(want) if n == want => AttackOutcome::Success,
             SuccessCheck::HaltWithR0(marker) if n == 0 && pipe.emu.cpu.reg(Reg::R0) == marker => {
@@ -106,8 +163,7 @@ pub fn run_attack(
                 AttackOutcome::NoEffect
             }
         }
-    };
-    Attempt { outcome, pipe }
+    }
 }
 
 /// Counts per outcome, plus the Table I-style post-mortem histogram of a
@@ -255,6 +311,7 @@ pub fn scan_cell(
     let boot_base = start_index * grid.len() as u64;
     let partials = gd_exec::par_map_chunks(&grid, GRID_CHUNK, |chunk| {
         let mut cell = CellCounts::default();
+        let mut rig = None;
         for (j, &(width, offset)) in chunk.items.iter().enumerate() {
             let boot = boot_base + (chunk.start + j) as u64 + 1;
             // Out-of-region points cannot fault: count them as clean
@@ -264,9 +321,9 @@ pub fn scan_cell(
                 continue;
             }
             let params = GlitchParams { ext_offset: start, repeat, width, offset };
-            let attempt = run_attack(device, model, params, boot, spec, None);
-            let reg = post_reg.map(|r| attempt.pipe.emu.cpu.reg(r));
-            cell.record(attempt.outcome, reg);
+            let rig = rig.get_or_insert_with(|| Rig::new(device));
+            let outcome = rig.attack(model, params, boot, spec, None);
+            cell.record(outcome, post_reg.map(|r| rig.pipe().emu.cpu.reg(r)));
         }
         cell
     });
@@ -288,6 +345,7 @@ pub fn scan_grid_serial(
     post_reg: Option<Reg>,
 ) -> Vec<(u32, CellCounts)> {
     let grid = full_grid();
+    let mut rig = Rig::new(device);
     let mut out = Vec::new();
     let mut boot = 0u64;
     for start in starts {
@@ -299,9 +357,8 @@ pub fn scan_grid_serial(
                 continue;
             }
             let params = GlitchParams { ext_offset: start, repeat, width, offset };
-            let attempt = run_attack(device, model, params, boot, spec, None);
-            let reg = post_reg.map(|r| attempt.pipe.emu.cpu.reg(r));
-            cell.record(attempt.outcome, reg);
+            let outcome = rig.attack(model, params, boot, spec, None);
+            cell.record(outcome, post_reg.map(|r| rig.pipe().emu.cpu.reg(r)));
         }
         out.push((start, cell));
     }
@@ -365,6 +422,7 @@ pub fn scan_multi_cell(
     let boot_base = cycle_index * grid.len() as u64;
     let partials = gd_exec::par_map_chunks(&grid, GRID_CHUNK, |chunk| {
         let mut cell = MultiCell { attempts: 0, partial: 0, full: 0 };
+        let mut rig = None;
         for (j, &(width, offset)) in chunk.items.iter().enumerate() {
             let boot = boot_base + (chunk.start + j) as u64 + 1;
             cell.attempts += 1;
@@ -372,9 +430,10 @@ pub fn scan_multi_cell(
                 continue;
             }
             let params = GlitchParams::single(cycle, width, offset);
-            let attempt = run_attack(device, model, params, boot, spec, None);
-            let triggers = attempt.pipe.trigger_cycles().len();
-            match attempt.outcome {
+            let rig = rig.get_or_insert_with(|| Rig::new(device));
+            let outcome = rig.attack(model, params, boot, spec, None);
+            let triggers = rig.pipe().trigger_cycles().len();
+            match outcome {
                 AttackOutcome::Success => cell.full += 1,
                 _ if triggers >= 2 => cell.partial += 1,
                 _ => {}

@@ -12,7 +12,7 @@
 
 use crate::device::Device;
 use crate::model::{FaultModel, GlitchParams};
-use crate::scan::{run_attack, AttackOutcome, AttackSpec};
+use crate::scan::{AttackOutcome, AttackSpec, Rig};
 
 /// Wall-clock cost per attempt on the physical rig (seconds).
 pub const SECONDS_PER_ATTEMPT: f64 = 0.095;
@@ -50,12 +50,12 @@ pub fn find_reliable_params(
     loop_cycles: u32,
 ) -> SearchReport {
     let mut report = SearchReport { attempts: 0, successes: 0, found: None, verified: 0 };
+    let mut rig = Rig::new(device);
     let mut boot = 0u64;
     let mut try_params = |params: GlitchParams, report: &mut SearchReport| -> bool {
         boot += 1;
         report.attempts += 1;
-        let attempt = run_attack(device, model, params, boot, spec, None);
-        let ok = attempt.outcome == AttackOutcome::Success;
+        let ok = rig.attack(model, params, boot, spec, None) == AttackOutcome::Success;
         if ok {
             report.successes += 1;
         }
@@ -122,7 +122,7 @@ pub fn find_reliable_params(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::SuccessCheck;
+    use crate::scan::{run_attack, SuccessCheck};
     use crate::targets;
 
     #[test]

@@ -511,8 +511,9 @@ impl Emu {
     ///
     /// Snapshot/restore is the sweep hot loop's alternative to booting a
     /// fresh emulator per trial: boot once, snapshot, then restore before
-    /// each perturbed run.
-    pub fn snapshot(&self) -> Snapshot {
+    /// each perturbed run. Taking a snapshot restarts the memory's dirty
+    /// log (see [`Memory::snapshot`]).
+    pub fn snapshot(&mut self) -> Snapshot {
         Snapshot {
             cpu: self.cpu.clone(),
             cfg: self.cfg,
@@ -524,13 +525,29 @@ impl Emu {
         }
     }
 
-    /// Restores a [`Snapshot`] taken from this emulator.
+    /// A new emulator in exactly the state `snap` captured, whose first
+    /// [`Emu::restore`] of `snap` copies only what it wrote since — the
+    /// way to stamp out per-worker trial emulators from one boot.
+    pub fn from_snapshot(snap: &Snapshot) -> Emu {
+        Emu {
+            cpu: snap.cpu.clone(),
+            mem: Memory::from_snapshot(&snap.mem),
+            cfg: snap.cfg,
+            load_override: snap.load_override,
+            pc: snap.pc,
+            steps: snap.steps,
+            injections: snap.injections.clone(),
+        }
+    }
+
+    /// Restores a [`Snapshot`] taken from this emulator (or from the one
+    /// it was made from by [`Emu::from_snapshot`]).
     ///
-    /// Register state is always restored; region contents are only copied
-    /// back when the emulated program stored to memory since the snapshot
-    /// (tracked by [`Memory::write_epoch`]). Loader-style writes via
-    /// [`Memory::load`] are deliberately *not* tracked — the sweep loop
-    /// exploits this by re-poking the same target halfword every trial.
+    /// Afterwards registers, configuration, injections and every memory
+    /// byte equal the snapshot's. Memory is rolled back block by block
+    /// from the dirty log, so the cost is proportional to what the
+    /// emulated program stored and the host loaded since the snapshot,
+    /// not to the size of the memory map ([`Memory::restore`]).
     ///
     /// # Panics
     ///

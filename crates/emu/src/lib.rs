@@ -49,5 +49,7 @@ pub use exec::{
     add_with_carry, Config, Emu, Fault, InjectKind, Injection, LoadOverride, Persistence,
     RunOutcome, Snapshot, Step, StepOutcome, StopReason,
 };
-pub use mem::{Access, FaultKind, MapError, MemFault, MemSnapshot, Memory, Perms, Region};
+pub use mem::{
+    Access, FaultKind, MapError, MemFault, MemSnapshot, Memory, Perms, Region, DIRTY_BLOCK,
+};
 pub use predecode::{classify, PredecodedImage, Slot};

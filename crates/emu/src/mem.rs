@@ -5,6 +5,7 @@
 //! from unmapped memory become *Bad Fetch*, and so on.
 
 use core::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Access permissions for a [`Region`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,6 +87,10 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// Granularity of the dirty-block log behind [`Memory::restore`]: a
+/// trial that stores one word pays for one block copy.
+pub const DIRTY_BLOCK: usize = 64;
+
 /// One mapped memory region.
 #[derive(Debug, Clone)]
 pub struct Region {
@@ -93,6 +98,11 @@ pub struct Region {
     base: u32,
     perms: Perms,
     data: Vec<u8>,
+    /// One bit per [`DIRTY_BLOCK`]-byte block written since the last
+    /// snapshot or restore.
+    dirty_bits: Vec<u64>,
+    /// The set bits of `dirty_bits`, in first-write order.
+    dirty: Vec<u32>,
 }
 
 impl Region {
@@ -123,6 +133,78 @@ impl Region {
 
     fn contains(&self, addr: u32) -> bool {
         addr >= self.base && u64::from(addr) < u64::from(self.base) + self.data.len() as u64
+    }
+
+    fn new(name: &str, base: u32, perms: Perms, data: Vec<u8>) -> Region {
+        let blocks = data.len().div_ceil(DIRTY_BLOCK);
+        Region {
+            name: name.to_owned(),
+            base,
+            perms,
+            data,
+            dirty_bits: vec![0; blocks.div_ceil(64)],
+            dirty: Vec::new(),
+        }
+    }
+
+    /// A copy of the region with an empty dirty log.
+    fn clean_copy(&self) -> Region {
+        Region::new(&self.name, self.base, self.perms, self.data.clone())
+    }
+
+    /// Logs the blocks covering `len >= 1` bytes at region offset `start`.
+    #[inline]
+    fn mark(&mut self, start: usize, len: usize) {
+        let last = (start + len - 1) / DIRTY_BLOCK;
+        let mut block = start / DIRTY_BLOCK;
+        loop {
+            let (word, bit) = (block / 64, 1u64 << (block % 64));
+            if self.dirty_bits[word] & bit == 0 {
+                self.dirty_bits[word] |= bit;
+                self.dirty.push(block as u32);
+            }
+            if block == last {
+                return;
+            }
+            block += 1;
+        }
+    }
+
+    /// Copies `snap`'s contents back over the logged blocks only, or over
+    /// the whole region when `full`, and empties the log. Returns the
+    /// bytes copied.
+    fn roll_back(&mut self, snap: &Region, full: bool) -> u64 {
+        let mut copied = 0;
+        if full {
+            self.data.copy_from_slice(&snap.data);
+            copied = self.data.len();
+        }
+        for &block in &self.dirty {
+            let block = block as usize;
+            self.dirty_bits[block / 64] = 0;
+            if !full {
+                let start = block * DIRTY_BLOCK;
+                let end = (start + DIRTY_BLOCK).min(self.data.len());
+                if end - start == DIRTY_BLOCK {
+                    // A fixed-size copy compiles to inline moves.
+                    let dst: &mut [u8; DIRTY_BLOCK] =
+                        (&mut self.data[start..end]).try_into().expect("one whole block");
+                    *dst = snap.data[start..end].try_into().expect("one whole block");
+                } else {
+                    self.data[start..end].copy_from_slice(&snap.data[start..end]);
+                }
+                copied += end - start;
+            }
+        }
+        self.dirty.clear();
+        copied as u64
+    }
+
+    fn clear_log(&mut self) {
+        for &block in &self.dirty {
+            self.dirty_bits[block as usize / 64] = 0;
+        }
+        self.dirty.clear();
     }
 }
 
@@ -161,14 +243,22 @@ impl std::error::Error for MapError {}
 pub struct Memory {
     regions: Vec<Region>,
     write_epoch: u64,
+    /// The snapshot the regions' dirty logs are relative to: every byte
+    /// that differs from it lies in a logged block.
+    logged_since: Option<u64>,
+    restored_bytes: u64,
 }
 
-/// A copy of every region's contents, created by [`Memory::snapshot`].
+/// A copy of the memory map and every region's contents, created by
+/// [`Memory::snapshot`].
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
-    data: Vec<Vec<u8>>,
-    write_epoch: u64,
+    id: u64,
+    regions: Vec<Region>,
 }
+
+/// Source of [`MemSnapshot`] identities, unique per process.
+static NEXT_SNAPSHOT: AtomicU64 = AtomicU64::new(0);
 
 impl Memory {
     /// An empty memory map.
@@ -211,7 +301,7 @@ impl Memory {
                 return Err(MapError { msg: format!("region `{name}` overlaps `{}`", r.name) });
             }
         }
-        self.regions.push(Region { name: name.to_owned(), base, perms, data });
+        self.regions.push(Region::new(name, base, perms, data));
         Ok(())
     }
 
@@ -231,8 +321,9 @@ impl Memory {
     /// Copies one region-sized chunk at a time rather than scanning the
     /// region list per byte — firmware loads run once per emulator boot,
     /// which the sweep engines put on their hot path. Loader writes do
-    /// not advance [`Memory::write_epoch`]; like [`Memory::peek`], this
-    /// is host-side access, not emulated-program activity.
+    /// not advance [`Memory::write_epoch`] (they are host-side access,
+    /// not emulated-program activity), but they are logged like stores,
+    /// so [`Memory::restore`] rolls them back too.
     ///
     /// # Errors
     ///
@@ -250,6 +341,7 @@ impl Memory {
             let start = (a - region.base) as usize;
             let n = (region.data.len() - start).min(bytes.len() - off);
             region.data[start..start + n].copy_from_slice(&bytes[off..off + n]);
+            region.mark(start, n);
             off += n;
         }
         Ok(())
@@ -257,38 +349,62 @@ impl Memory {
 
     /// A counter advanced by every emulated store ([`Memory::write8`] /
     /// [`Memory::write16`] / [`Memory::write32`]). Loader-style writes
-    /// ([`Memory::load`]) are not counted. [`Memory::restore`] uses it to
-    /// skip copying region contents after store-free runs.
+    /// ([`Memory::load`]) are not counted, and [`Memory::restore`] never
+    /// winds it back.
     pub fn write_epoch(&self) -> u64 {
         self.write_epoch
     }
 
-    /// Copies every region's contents for later [`Memory::restore`].
-    pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot {
-            data: self.regions.iter().map(|r| r.data.clone()).collect(),
-            write_epoch: self.write_epoch,
+    /// Bytes copied back by every [`Memory::restore`] so far — the exact
+    /// reset cost of the trial loops built on snapshots.
+    pub fn restored_bytes(&self) -> u64 {
+        self.restored_bytes
+    }
+
+    /// Copies the memory map and every region's contents for later
+    /// [`Memory::restore`], and starts a fresh dirty-block log relative
+    /// to the new snapshot.
+    pub fn snapshot(&mut self) -> MemSnapshot {
+        let id = NEXT_SNAPSHOT.fetch_add(1, Ordering::Relaxed);
+        for region in &mut self.regions {
+            region.clear_log();
+        }
+        self.logged_since = Some(id);
+        MemSnapshot { id, regions: self.regions.iter().map(Region::clean_copy).collect() }
+    }
+
+    /// A memory whose map and contents are those of `snap`, with its
+    /// dirty log already relative to it: the first [`Memory::restore`]
+    /// of `snap` costs only what was written in between.
+    pub fn from_snapshot(snap: &MemSnapshot) -> Memory {
+        Memory {
+            regions: snap.regions.clone(),
+            write_epoch: 0,
+            logged_since: Some(snap.id),
+            restored_bytes: 0,
         }
     }
 
-    /// Rolls region contents back to a snapshot of this memory map.
+    /// Rolls region contents back to a snapshot of this memory map:
+    /// afterwards every byte equals the snapshot's.
     ///
-    /// When no emulated store happened since the snapshot (the write
-    /// epoch is unchanged), the contents are known clean and the copy is
-    /// skipped entirely.
+    /// When the dirty log is relative to `snap` (the snapshot was taken
+    /// from, or last restored into, this memory), only the logged blocks
+    /// are copied, so the cost is proportional to what was written since
+    /// (emulated stores and loader writes alike). Any other snapshot of
+    /// the same map is copied in full. Either way the log then restarts
+    /// relative to `snap`.
     ///
     /// # Panics
     ///
     /// Panics if regions were mapped or resized since the snapshot.
     pub fn restore(&mut self, snap: &MemSnapshot) {
-        if self.write_epoch == snap.write_epoch {
-            return;
+        assert_eq!(self.regions.len(), snap.regions.len(), "memory map changed since snapshot");
+        let full = self.logged_since != Some(snap.id);
+        for (region, saved) in self.regions.iter_mut().zip(&snap.regions) {
+            self.restored_bytes += region.roll_back(saved, full);
         }
-        assert_eq!(self.regions.len(), snap.data.len(), "memory map changed since snapshot");
-        for (region, data) in self.regions.iter_mut().zip(&snap.data) {
-            region.data.copy_from_slice(data);
-        }
-        self.write_epoch = snap.write_epoch;
+        self.logged_since = Some(snap.id);
     }
 
     /// Reads raw bytes, ignoring permissions (debugger-style access).
@@ -376,7 +492,9 @@ impl Memory {
     /// Returns a [`MemFault`] for unmapped or protected addresses.
     pub fn write8(&mut self, addr: u32, value: u8) -> Result<(), MemFault> {
         let r = self.access(addr, 1, Access::Write)?;
-        r.data[(addr - r.base) as usize] = value;
+        let i = (addr - r.base) as usize;
+        r.data[i] = value;
+        r.mark(i, 1);
         self.write_epoch += 1;
         Ok(())
     }
@@ -391,6 +509,7 @@ impl Memory {
         let r = self.access(addr, 2, Access::Write)?;
         let i = (addr - r.base) as usize;
         r.data[i..i + 2].copy_from_slice(&value.to_le_bytes());
+        r.mark(i, 2);
         self.write_epoch += 1;
         Ok(())
     }
@@ -405,6 +524,7 @@ impl Memory {
         let r = self.access(addr, 4, Access::Write)?;
         let i = (addr - r.base) as usize;
         r.data[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        r.mark(i, 4);
         self.write_epoch += 1;
         Ok(())
     }

@@ -3,7 +3,9 @@
 //! one of the 65,536 first-halfword patterns, and snapshot/restore must
 //! reproduce fresh-boot behavior exactly.
 
-use gd_emu::{Config, Emu, Fault, Perms, PredecodedImage, RunOutcome, Slot, StopReason};
+use gd_emu::{
+    Config, Emu, Fault, Perms, PredecodedImage, RunOutcome, Slot, StopReason, DIRTY_BLOCK,
+};
 use gd_thumb::is_32bit_prefix;
 
 const BASE: u32 = 0x0800_0000;
@@ -214,7 +216,7 @@ fn predecoded_run_matches_interpreter_run() {
 }
 
 /// Snapshot → run (with stores) → restore reproduces the snapshot state,
-/// and a store-free run skips the region copy without observable effect.
+/// and the restore copies back only the block the store dirtied.
 #[test]
 fn snapshot_restore_round_trips() {
     let src = "movs r0, #1\nstr r0, [r1]\nbkpt #0\n";
@@ -229,26 +231,42 @@ fn snapshot_restore_round_trips() {
     let snap = emu.snapshot();
     let first = emu.run(100);
     assert_eq!(emu.mem.read32(0x2000_0020).expect("mapped"), 1);
-    let dirty_epoch = emu.mem.write_epoch();
-    assert!(dirty_epoch > 0, "the store advanced the write epoch");
+    let stores = emu.mem.write_epoch();
+    assert!(stores > 0, "the store advanced the write epoch");
 
     emu.restore(&snap);
     assert_eq!(emu.pc(), BASE);
     assert_eq!(emu.steps(), 0);
     assert_eq!(emu.mem.read32(0x2000_0020).expect("mapped"), 0, "store rolled back");
+    assert_eq!(emu.mem.restored_bytes(), DIRTY_BLOCK as u64, "one dirty block copied");
+    assert_eq!(emu.mem.write_epoch(), stores, "restore does not wind the store counter back");
     let second = emu.run(100);
     assert_eq!(first, second, "replay from snapshot is bit-identical");
 
-    // A restore with no intervening store is the epoch fast path.
+    // A restore with nothing written since copies nothing.
     emu.restore(&snap);
-    let epoch = emu.mem.write_epoch();
+    let copied = emu.mem.restored_bytes();
     emu.restore(&snap);
-    assert_eq!(emu.mem.write_epoch(), epoch);
+    assert_eq!(emu.mem.restored_bytes(), copied);
     assert_eq!(emu.run(100), first);
 }
 
-/// Loader writes are exempt from the write epoch: re-poking the same
-/// address each trial (the sweep pattern) keeps the restore fast path.
+/// Loader writes are logged like stores: restore rolls a poke back even
+/// when the emulated program stored nothing, so memory equals the
+/// snapshot exactly after every restore.
+#[test]
+fn loader_writes_are_rolled_back() {
+    let mut emu = Emu::new();
+    emu.mem.map("flash", BASE, 0x100, Perms::RX).expect("fresh map");
+    let snap = emu.snapshot();
+    emu.mem.load(BASE + 0x40, &[0xAA, 0xBB]).expect("mapped");
+    emu.restore(&snap);
+    assert_eq!(emu.mem.peek(BASE + 0x40, 2).expect("mapped"), vec![0, 0]);
+    assert_eq!(emu.mem.restored_bytes(), DIRTY_BLOCK as u64);
+}
+
+/// Loader writes are host-side access, not emulated stores: they never
+/// advance the store counter.
 #[test]
 fn loader_writes_do_not_dirty_the_epoch() {
     let mut emu = Emu::new();
@@ -256,6 +274,28 @@ fn loader_writes_do_not_dirty_the_epoch() {
     let before = emu.mem.write_epoch();
     emu.mem.load(BASE, &[0xAA, 0xBB]).expect("mapped");
     assert_eq!(emu.mem.write_epoch(), before);
+}
+
+/// An emulator stamped out of a snapshot runs like the original, and its
+/// first restore is already proportional to what it wrote.
+#[test]
+fn from_snapshot_clones_state_and_restores_incrementally() {
+    let src = "movs r0, #1\nstr r0, [r1]\nbkpt #0\n";
+    let prog = gd_thumb::asm::assemble(src, BASE).expect("assembles");
+    let mut emu = Emu::new();
+    emu.mem.map("flash", BASE, 0x100, Perms::RX).expect("fresh map");
+    emu.mem.map("sram", 0x2000_0000, 0x1000, Perms::RW).expect("fresh map");
+    emu.mem.load(BASE, &prog.code).expect("fits");
+    emu.set_pc(BASE);
+    emu.cpu.set_reg(gd_thumb::Reg::R1, 0x2000_0020);
+    let snap = emu.snapshot();
+
+    let mut copy = Emu::from_snapshot(&snap);
+    assert_eq!(copy.run(100), emu.run(100));
+    assert_eq!(copy.cpu, emu.cpu);
+    copy.restore(&snap);
+    assert_eq!(copy.mem.restored_bytes(), DIRTY_BLOCK as u64);
+    assert_eq!(copy.mem.read32(0x2000_0020).expect("mapped"), 0);
 }
 
 /// The chunked loader writes across region boundaries exactly like the

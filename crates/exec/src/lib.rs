@@ -124,12 +124,25 @@ pub fn threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n;
     }
-    match std::env::var("GD_THREADS") {
-        Ok(v) => match parse_threads(&v) {
+    threads_from(std::env::var("GD_THREADS").ok().as_deref())
+}
+
+/// The worker count a `GD_THREADS` value selects: the parsed count when
+/// set, else [`std::thread::available_parallelism`] (1 if even that is
+/// unavailable). [`threads`] is this function applied to the process
+/// environment, kept pure so it can be tested without mutating it.
+///
+/// # Panics
+///
+/// Panics when `env` is set but invalid (zero or non-numeric), with the
+/// [`parse_threads`] message.
+pub fn threads_from(env: Option<&str>) -> usize {
+    match env {
+        Some(v) => match parse_threads(v) {
             Ok(n) => n,
             Err(e) => panic!("{e}"),
         },
-        Err(_) => default_threads(),
+        None => default_threads(),
     }
 }
 
@@ -334,8 +347,9 @@ where
 mod tests {
     use super::*;
 
-    /// `GD_THREADS` is process-global; tests that mutate it serialize here.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
+    /// The fan-out counters are process-global; tests asserting on
+    /// them serialize here.
+    static METRICS_LOCK: Mutex<()> = Mutex::new(());
 
     /// Serial reference for the differential assertions below.
     fn serial_map_chunks<T, R>(
@@ -394,50 +408,30 @@ mod tests {
 
     #[test]
     fn gd_threads_one_is_equivalent() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let saved = std::env::var("GD_THREADS").ok();
-        std::env::set_var("GD_THREADS", "1");
+        assert_eq!(threads_from(Some("1")), 1);
         let items: Vec<u32> = (0..513).collect();
-        let out = par_map(&items, |&x| x.wrapping_mul(2_654_435_761));
-        match saved {
-            Some(v) => std::env::set_var("GD_THREADS", v),
-            None => std::env::remove_var("GD_THREADS"),
-        }
+        let out = with_threads(1, || par_map(&items, |&x| x.wrapping_mul(2_654_435_761)));
         let expect: Vec<u32> = items.iter().map(|&x| x.wrapping_mul(2_654_435_761)).collect();
         assert_eq!(out, expect);
     }
 
     #[test]
     fn threads_parses_env_var() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let saved = std::env::var("GD_THREADS").ok();
-        std::env::set_var("GD_THREADS", "3");
-        assert_eq!(threads(), 3);
-        std::env::set_var("GD_THREADS", " 8 ");
-        assert_eq!(threads(), 8, "surrounding whitespace is tolerated");
-        match saved {
-            Some(v) => std::env::set_var("GD_THREADS", v),
-            None => std::env::remove_var("GD_THREADS"),
-        }
+        assert_eq!(threads_from(Some("3")), 3);
+        assert_eq!(threads_from(Some(" 8 ")), 8, "surrounding whitespace is tolerated");
+        assert_eq!(threads_from(None), default_threads(), "unset means the machine's cores");
     }
 
     #[test]
     fn invalid_gd_threads_is_rejected_loudly() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let saved = std::env::var("GD_THREADS").ok();
         for bad in ["0", "not-a-number", "", "-2", "1.5"] {
-            std::env::set_var("GD_THREADS", bad);
-            let result = catch_unwind(threads);
+            let result = catch_unwind(|| threads_from(Some(bad)));
             let payload = result.expect_err(&format!("GD_THREADS={bad:?} must be rejected"));
             let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(
                 msg.contains("GD_THREADS must be a positive integer"),
                 "error names the variable and the constraint: {msg}"
             );
-        }
-        match saved {
-            Some(v) => std::env::set_var("GD_THREADS", v),
-            None => std::env::remove_var("GD_THREADS"),
         }
     }
 
@@ -453,32 +447,24 @@ mod tests {
 
     #[test]
     fn with_threads_overrides_and_restores() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let saved = std::env::var("GD_THREADS").ok();
-        std::env::set_var("GD_THREADS", "3");
-        assert_eq!(threads(), 3);
-        let (inner, nested) = with_threads(7, || (threads(), with_threads(2, threads)));
-        assert_eq!((inner, nested), (7, 2), "overrides nest innermost-wins");
-        assert_eq!(threads(), 3, "the override is scoped");
-        // The override beats even an invalid env var (already validated
-        // input must not be re-rejected)...
-        std::env::set_var("GD_THREADS", "garbage");
-        assert_eq!(with_threads(5, threads), 5);
-        // ...and is restored on unwind.
-        let _ = catch_unwind(|| with_threads(9, || panic!("boom")));
-        std::env::set_var("GD_THREADS", "4");
-        assert_eq!(threads(), 4, "unwinding clears the override");
-        match saved {
-            Some(v) => std::env::set_var("GD_THREADS", v),
-            None => std::env::remove_var("GD_THREADS"),
-        }
+        let outer = with_threads(3, || {
+            let (inner, nested) = with_threads(7, || (threads(), with_threads(2, threads)));
+            assert_eq!((inner, nested), (7, 2), "overrides nest innermost-wins");
+            assert_eq!(threads(), 3, "the override is scoped");
+            // The override is restored on unwind too.
+            let _ = catch_unwind(|| with_threads(9, || panic!("boom")));
+            threads()
+        });
+        assert_eq!(outer, 3, "unwinding clears the override");
+        assert_eq!(THREAD_OVERRIDE.with(Cell::get), None, "no override outlives its scope");
     }
 
     #[test]
     fn serialized_scopes_force_and_restore_the_serial_path() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = METRICS_LOCK.lock().unwrap();
         let metrics = exec_metrics();
         let serial0 = metrics.serial_fallbacks.get();
+        let caller = thread::current().id();
         let items: Vec<u32> = (0..64).collect();
         let out = serialized(|| with_threads(8, || par_map(&items, |&x| x + 1)));
         assert_eq!(out, (1..=64).collect::<Vec<u32>>(), "results are unchanged");
@@ -486,12 +472,14 @@ mod tests {
             metrics.serial_fallbacks.get() > serial0,
             "the fan-out inside a serialized scope ran serially"
         );
+        let ran_on = serialized(|| {
+            with_threads(2, || par_map_chunks(&items, 8, |_| thread::current().id()))
+        });
+        assert!(ran_on.iter().all(|&id| id == caller), "serial chunks run on the caller");
         // The scope is restored, even on unwind.
         let _ = catch_unwind(|| serialized(|| panic!("boom")));
-        let serial1 = metrics.serial_fallbacks.get();
-        let parallel = with_threads(2, || par_map_chunks(&items, 8, |c| c.items.len()));
-        assert_eq!(parallel.iter().sum::<usize>(), 64);
-        assert_eq!(metrics.serial_fallbacks.get(), serial1, "back on the parallel path");
+        let ran_on = with_threads(2, || par_map_chunks(&items, 8, |_| thread::current().id()));
+        assert!(ran_on.iter().all(|&id| id != caller), "back on the parallel path");
     }
 
     #[test]
@@ -523,7 +511,7 @@ mod tests {
 
     #[test]
     fn fan_out_metrics_accumulate() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = METRICS_LOCK.lock().unwrap();
         let metrics = exec_metrics();
         let (chunks0, serial0) = (metrics.chunks.get(), metrics.serial_fallbacks.get());
         let items: Vec<u32> = (0..64).collect();

@@ -198,9 +198,14 @@ fn order2_reps() -> &'static Vec<O2Rep> {
 /// are armed in one simulated trial. Weights multiply, so the tallies
 /// equal the unpruned pair space's.
 pub fn order2_shard(bucket: u32) -> (Tally, MfStats) {
-    let campaign = boot_campaign();
+    order2_shard_on(&mut boot_campaign().runner(), bucket)
+}
+
+/// [`order2_shard`] on a caller-provided runner (from
+/// [`BootCampaign::runner`]), so the caller can read its trial-loop
+/// counters afterwards.
+pub fn order2_shard_on(runner: &mut MultiFaultRunner, bucket: u32) -> (Tally, MfStats) {
     let reps = order2_reps();
-    let mut runner = campaign.runner();
     let mut tally = Tally::default();
     let mut stats = MfStats::default();
     let mut index = 0u64;

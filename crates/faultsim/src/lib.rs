@@ -44,7 +44,9 @@ pub mod model;
 pub mod prune;
 pub mod runner;
 
-pub use boot::{boot_campaign, order1_shard, order2_shard, MfStats, O2_BUCKETS, SCOPE_FUNCS};
+pub use boot::{
+    boot_campaign, order1_shard, order2_shard, order2_shard_on, MfStats, O2_BUCKETS, SCOPE_FUNCS,
+};
 pub use metrics::register_metrics;
 pub use model::{FaultInstance, FaultModel, Registry, SiteInfo};
 pub use prune::{halfword_slots, prune_model, sites, FaultClass, ModelClasses};

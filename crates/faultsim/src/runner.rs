@@ -77,6 +77,12 @@ impl MultiFaultRunner {
         MF_TRIAL_STEPS - self.budget
     }
 
+    /// Bytes the per-trial snapshot restores have copied back so far
+    /// ([`gd_emu::Memory::restored_bytes`]).
+    pub fn restored_bytes(&self) -> u64 {
+        self.emu.mem.restored_bytes()
+    }
+
     /// Runs one trial with `faults` armed and classifies it.
     ///
     /// Classification extends the Figure 2 taxonomy to the boot

@@ -279,6 +279,17 @@ impl Pipeline {
     pub fn clear_trigger(&mut self) {
         self.trigger_cycles.clear();
     }
+
+    /// Returns the pipeline's own state to power-on: cycle and retired
+    /// counts, trigger events and in-flight fetch corruption. The
+    /// emulator is left alone; pair this with [`gd_emu::Emu::restore`]
+    /// to reboot without rebuilding the memory map.
+    pub fn reset(&mut self) {
+        self.cycle = 0;
+        self.retired = 0;
+        self.trigger_cycles.clear();
+        self.pending_fetch.clear();
+    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,15 @@ RUSTFLAGS=-Dwarnings cargo build --release --offline
 echo "==> cargo test --offline (workspace)"
 cargo test --offline -q
 
+# Tests that share process-global state (the environment, fan-out
+# counters) race only under heavy test parallelism, so a single pass can
+# hide them: run the gd-exec suite repeatedly at 16 test threads.
+echo "==> gd-exec lib suite, 5 passes at --test-threads=16"
+for pass in 1 2 3 4 5; do
+    cargo test --offline -q -p gd-exec --lib -- --test-threads=16 > /dev/null ||
+        { echo "gd-exec lib suite failed on pass $pass"; exit 1; }
+done
+
 # Experiment binaries must regenerate their committed golden outputs
 # byte for byte. table1 goes through the campaign engine (and therefore
 # the sharded path); fig2 covers the emulation-side sweeps.
